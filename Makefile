@@ -60,7 +60,7 @@ apicheck-update:
 # a 3-replica cluster asserting zero divergent reports, bounded p99 and
 # that hedging/breakers/failover/stale-serve/deadline-shed all fired), and
 # the partitioned-kernel sweep (BENCH_PR7.json: measured and critical-path
-# model speedup vs partition count on 100k+-gate circuits, every
+# model speedup vs partition count on 100k+-gate circuits by default, every
 # configuration checked bit-identical to the sequential baseline), and the
 # observability overhead sweep (BENCH_PR8.json: tracing-off vs tracing-on
 # vs tracing+profiling p50/p99 against an in-process daemon, asserting the
@@ -104,12 +104,13 @@ chaos-smoke:
 	$(GO) run ./cmd/halobench -exp chaos -chaosdur 4s -chaosclients 4
 
 # partition-smoke is the quick CI variant of the partitioned-kernel sweep:
-# one 100k-gate circuit at P=1 and P=4. The experiment aborts unless the
-# partitioned run is bit-identical (stats equality) to the sequential
-# baseline, making this a large-circuit differential gate, not just a
-# benchmark.
+# a 5k-gate circuit, just above the automatic-partitioning floor (4k gates),
+# and a 100k-gate one, each at P=1, P=2 and P=4. The experiment aborts
+# unless every partitioned run is bit-identical (stats equality) to the
+# sequential baseline, making this a differential gate at the sizes the
+# automatic policy partitions, not just a benchmark.
 partition-smoke:
-	$(GO) run ./cmd/halobench -exp partition -partsizes 100000 -partcounts 1,4 -partfam random-dag -partruns 1
+	$(GO) run ./cmd/halobench -exp partition -partsizes 5000,100000 -partcounts 1,2,4 -partfam random-dag -partruns 1
 
 # obs-smoke is the CI gate on the observability layer: start a real
 # daemon with structured logging, drive one traced simulate request with a

@@ -54,9 +54,11 @@ type Request struct {
 	// MaxTimeout, when configured, still applies as both cap and default.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
 	// Partitions selects the partitioned parallel kernel: 0 (default) lets
-	// the engine choose by circuit size, 1 forces the sequential kernel,
-	// higher counts split the circuit across that many worker goroutines.
-	// Results are bit-identical for any value, so it tunes latency only.
+	// the engine choose per run from circuit size and the cores not already
+	// running kernel work (one partition per 2k gates, so circuits below 4k
+	// gates run sequentially), 1 forces the sequential kernel, higher
+	// counts split the circuit across that many worker goroutines. Results
+	// are bit-identical for any value, so it tunes latency only.
 	Partitions int `json:"partitions,omitempty"`
 	// Profile requests the opt-in kernel execution profile: the report
 	// then carries per-worker counters (events popped, horizon-stall
@@ -119,8 +121,9 @@ type PowerSummary struct {
 // Report is the outcome of one Request, identical across backends: every
 // field except Circuit (the content-hash ID the backend ran against),
 // ElapsedNs (wall time, machine-dependent), Cached (whether a result
-// cache served it) and Replica (which node ran it) is a deterministic
-// function of (circuit, Request).
+// cache served it), Replica (which node ran it) and Profile (how the
+// kernel executed, load-dependent) is a deterministic function of
+// (circuit, Request).
 type Report struct {
 	Circuit   string  `json:"circuit"`
 	Model     string  `json:"model"`

@@ -113,6 +113,9 @@ type WorkerProfile struct {
 // partitioned kernel stalled. Requests that do not ask for it pay
 // nothing — the kernel's zero-allocation steady state is preserved.
 type KernelProfile struct {
+	// Partitions is the partition count the run executed with. Under
+	// automatic partitioning it depends on the node's kernel load when the
+	// run started, so like ElapsedNs it varies between identical requests.
 	Partitions int             `json:"partitions"`
 	Workers    []WorkerProfile `json:"workers"`
 }

@@ -20,9 +20,10 @@
 // the scalable families (adder chains, CSA trees, multipliers, random
 // DAGs) under random stimulus and records ns/event scaling curves for DDM
 // vs CDM; -scalejson writes them (BENCH_PR2.json). -exp partition sweeps
-// partition count against circuit size (100k gates and up), checking every
-// partitioned configuration bit-identical to the sequential baseline before
-// timing it and recording measured plus critical-path-model speedup;
+// partition count against circuit size (-partsizes: 100k and 250k gates by
+// default, 2k–40k to calibrate the automatic partitioning floor), checking
+// every partitioned configuration bit-identical to the sequential baseline
+// before timing it and recording measured plus critical-path-model speedup;
 // -partjson writes the record (BENCH_PR7.json). -exp serve stands up an
 // in-process halotisd and sweeps concurrent clients against it, recording
 // requests/sec, p50/p99 latency and cache hit rate; -servejson writes them

@@ -59,7 +59,7 @@ type PartitionPoint struct {
 
 // PartitionReport is the JSON document emitted by -exp partition: measured
 // and modeled speedup of the partitioned kernel vs partition count, across
-// circuit sizes at and above 100k gates.
+// the swept circuit sizes.
 type PartitionReport struct {
 	GoVersion  string           `json:"go_version"`
 	GOMAXPROCS int              `json:"gomaxprocs"`

@@ -133,9 +133,11 @@ func WithWorkers(n int) Option { return func(o *sim.Options) { o.Workers = n } }
 // the circuit is split into n level-ordered partitions, each simulated by
 // its own worker goroutine, with boundary transitions exchanged through
 // mailboxes. Results are bit-identical to the sequential kernel for any
-// count. 0 (the default) picks automatically by circuit size and
-// GOMAXPROCS; 1 forces the sequential kernel; counts are clamped to the
-// engine's maximum.
+// count. 0 (the default) picks per run from circuit size and live kernel
+// load: one partition per 2k gates, bounded by the cores (GOMAXPROCS) not
+// already running kernel work in this process and by 8, so circuits below
+// 4k gates and runs that start on a busy process stay sequential. 1 forces
+// the sequential kernel; counts are clamped to the engine's maximum.
 func WithPartitions(n int) Option { return func(o *sim.Options) { o.Partitions = n } }
 
 // WithContext attaches a cancellation context to the run: Simulate,

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -279,7 +280,10 @@ func multBatch(t *testing.T, jobs, vectors int) (netlistText string, reqs []clie
 // the jobs overlap on the worker pool (the in-flight high-water mark
 // exceeds one) instead of draining sequentially through one worker slot.
 // On multi-core hardware it additionally asserts the speedup ordering:
-// the same batch on a 4-worker daemon beats a 1-worker daemon.
+// the same batch on a 4-worker daemon beats a 1-worker daemon. Each side is
+// timed as the fastest of three batches, so one scheduling hiccup on a
+// loaded host cannot invert the ordering; result caching is off so every
+// repeat runs the kernel.
 func TestServiceBatchFansOut(t *testing.T) {
 	// The container CI runs on one CPU; four runnable threads still prove
 	// overlap (the preempting scheduler interleaves the ms-scale jobs).
@@ -289,12 +293,18 @@ func TestServiceBatchFansOut(t *testing.T) {
 	text, reqs := multBatch(t, jobs, 250)
 	ctx := context.Background()
 
-	s, c := newTestService(t, service.Config{Workers: 4, QueueDepth: 64})
+	s, c := newTestService(t, service.Config{Workers: 4, QueueDepth: 64, ResultCacheSize: -1})
 	up, err := c.UploadCircuit(ctx, client.UploadRequest{Netlist: text, Format: "net"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The upload ran as one queue job, whose executed count bumps just
+	// after its response is delivered: wait for it before taking the
+	// baseline, so it is not counted as part of the batch.
+	for wait := time.Millisecond; s.QueueStats().Executed < 1 && wait < time.Second; wait *= 2 {
+		time.Sleep(wait)
+	}
 	executedBefore := s.QueueStats().Executed
 	start := time.Now()
 	batch, err := c.SimulateBatch(ctx, client.BatchRequest{Circuit: up.ID, Requests: reqs})
@@ -323,17 +333,25 @@ func TestServiceBatchFansOut(t *testing.T) {
 
 	// Speedup ordering needs real parallel hardware to be a fair assertion.
 	if runtime.NumCPU() >= 2 {
-		s1, c1 := newTestService(t, service.Config{Workers: 1, QueueDepth: 64})
+		// fastest returns the minimum wall time of n batches.
+		fastest := func(c *client.Client, id string, n int) time.Duration {
+			best := time.Duration(math.MaxInt64)
+			for i := 0; i < n; i++ {
+				start := time.Now()
+				if _, err := c.SimulateBatch(ctx, client.BatchRequest{Circuit: id, Requests: reqs}); err != nil {
+					t.Fatal(err)
+				}
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		wall4 = min(wall4, fastest(c, up.ID, 2))
+		_, c1 := newTestService(t, service.Config{Workers: 1, QueueDepth: 64, ResultCacheSize: -1})
 		up1, err := c1.UploadCircuit(ctx, client.UploadRequest{Netlist: text, Format: "net"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		start = time.Now()
-		if _, err := c1.SimulateBatch(ctx, client.BatchRequest{Circuit: up1.ID, Requests: reqs}); err != nil {
-			t.Fatal(err)
-		}
-		wall1 := time.Since(start)
-		_ = s1
+		wall1 := fastest(c1, up1.ID, 3)
 		if wall4 >= wall1 {
 			t.Errorf("speedup ordering violated: %v on 4 workers vs %v on 1 worker", wall4, wall1)
 		}

@@ -191,10 +191,10 @@ func (e *Engine) RunContext(ctx context.Context, st Stimulus, tEnd float64) (*Re
 	if err := st.Validate(e.ir.InputSet); err != nil {
 		return nil, err
 	}
-	if k := resolvePartitions(e.opt.Partitions, e.ir.NumGates()); k > 1 {
-		if pt := e.ir.Partition(k); pt.K > 1 {
-			return e.runPartitioned(ctx, st, tEnd, pt)
-		}
+	k, pt := e.reserveWorkers()
+	defer releaseWorkers(k)
+	if pt != nil {
+		return e.runPartitioned(ctx, st, tEnd, pt)
 	}
 	//halotis:wallclock Result.Elapsed measures the run for stats; it never feeds simulated time
 	start := time.Now()
@@ -406,8 +406,10 @@ func (e *Engine) delayFor(g, pin, out int32, ev event, now float64, newTarget bo
 // kernel after every event pop, with the event's pin and time, before the
 // event fires. The partition-schedule model in halobench replays a
 // sequential run through it to compute critical-path bounds; a nil hook (the
-// default) costs one predicted branch per event. Not honored by the
-// partitioned path.
+// default) costs one predicted branch per event. While a hook is installed,
+// automatic partitioning (Partitions: 0) always picks the sequential kernel,
+// so the hook sees every event; an explicit Partitions > 1 still runs the
+// partitioned kernel, which does not call it.
 func (e *Engine) SetFireHook(h func(pin int32, t float64)) { e.fireHook = h }
 
 // SetProfiling toggles per-run kernel profiling on a live engine: when on,

@@ -62,41 +62,73 @@ import (
 // MaxPartitions bounds Options.Partitions; requests above it are clamped.
 const MaxPartitions = 64
 
-// Auto-partitioning policy for Options.Partitions == 0: circuits below
-// autoPartitionMinGates stay on the sequential kernel (its 0-alloc steady
-// state is already the fastest path for circuits whose working set fits low
-// cache levels), larger ones get one partition per autoPartitionGatesPer
-// gates, bounded by GOMAXPROCS and autoPartitionMax.
+// Auto-partitioning policy for Options.Partitions == 0: a run gets
+//
+//	K = min(gates / autoPartitionGatesPer, idle cores, autoPartitionMax)
+//
+// workers, and the sequential kernel when K < 2. Idle cores are GOMAXPROCS
+// minus the kernel workers already running in this process (kernelWorkers),
+// so a lone run spreads over the free cores while concurrent runs — batch
+// workers, daemon queue workers, in-process cluster replicas — fall back to
+// one worker each instead of oversubscribing. Every partition gets at least
+// autoPartitionGatesPer gates: `halobench -exp partition` on a 2-core host
+// shows P=2 beating P=1 on every scalable family from ~4k gates (1.2–1.8×)
+// and breaking even or losing below ~3k, where the sequential kernel's
+// working set already sits in low cache levels (README, "Scaling single
+// circuits"). Results are bit-identical for every K, so the load-dependent
+// choice changes wall time only, never a report.
 const (
-	autoPartitionMinGates = 50_000
-	autoPartitionGatesPer = 25_000
+	autoPartitionGatesPer = 2_000
 	autoPartitionMax      = 8
 )
 
-// resolvePartitions maps the Partitions option to an effective worker count
-// for a circuit of the given size.
-func resolvePartitions(req, gates int) int {
-	if req > 0 {
-		if req > MaxPartitions {
-			req = MaxPartitions
-		}
-		return req
-	}
-	if gates < autoPartitionMinGates {
-		return 1
-	}
-	p := runtime.GOMAXPROCS(0)
-	if m := gates / autoPartitionGatesPer; p > m {
-		p = m
-	}
-	if p > autoPartitionMax {
-		p = autoPartitionMax
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+// kernelWorkers counts the kernel workers running in this process: every
+// Engine.RunContext adds its worker count (1 sequential, K partitioned,
+// explicit Partitions included) before the kernel starts and subtracts it
+// on every exit path.
+var kernelWorkers atomic.Int64
+
+// autoPartitions is the automatic worker count for a circuit of the given
+// size when busy kernel workers already occupy some of procs cores.
+func autoPartitions(gates, procs, busy int) int {
+	return max(1, min(gates/autoPartitionGatesPer, procs-busy, autoPartitionMax))
 }
+
+// reserveWorkers picks the run's kernel and claims its workers in
+// kernelWorkers: it returns the worker count the caller must release when
+// the run ends, and the partitioning to run (nil for the sequential
+// kernel). An explicit Partitions count is honored (clamped to
+// MaxPartitions and the gate count) and counted whatever the load; the
+// automatic choice is claimed with a CAS so two runs starting together
+// cannot both take the same idle core. An installed fire hook pins
+// automatic runs to the sequential kernel, the only one that calls it.
+func (e *Engine) reserveWorkers() (int, *circ.Partitioning) {
+	k := 1
+	if req := e.opt.Partitions; req > 0 {
+		if k = min(req, MaxPartitions); k > 1 {
+			k = e.ir.Partition(k).K
+		}
+		kernelWorkers.Add(int64(k))
+	} else if gates := e.ir.NumGates(); e.fireHook == nil && gates >= 2*autoPartitionGatesPer {
+		procs := runtime.GOMAXPROCS(0)
+		for {
+			busy := kernelWorkers.Load()
+			k = autoPartitions(gates, procs, int(busy))
+			if kernelWorkers.CompareAndSwap(busy, busy+int64(k)) {
+				break
+			}
+		}
+	} else {
+		kernelWorkers.Add(1)
+	}
+	if k == 1 {
+		return 1, nil
+	}
+	return k, e.ir.Partition(k)
+}
+
+// releaseWorkers returns a run's workers to the idle pool.
+func releaseWorkers(k int) { kernelWorkers.Add(-int64(k)) }
 
 // boundaryMsg is one net transition crossing a partition boundary: the
 // Transition fields Crossing reads, so the receiver reconstructs crossing

@@ -10,7 +10,10 @@ package sim
 // sends), so profiling costs nothing measurable even when on.
 type Profile struct {
 	// Partitions is the effective partition count of the run (1 for the
-	// sequential kernel).
+	// sequential kernel). Under automatic partitioning (Options.Partitions
+	// == 0) it depends on how many kernel workers were already running when
+	// the run started, so like Result.Elapsed it describes this run's
+	// execution, not its result.
 	Partitions int
 	// Workers holds per-partition counters, indexed by partition.
 	Workers []WorkerProfile

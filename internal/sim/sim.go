@@ -68,8 +68,12 @@ type Options struct {
 	// queue, with boundary transitions exchanged through mailboxes under a
 	// conservative horizon protocol. Results are bit-identical to the
 	// sequential kernel for any partition count. 0 (the default) picks
-	// automatically by circuit size and GOMAXPROCS — small circuits run
-	// sequentially; 1 forces the sequential kernel; values are clamped to
+	// per run from circuit size and live kernel load: one partition per
+	// 2k gates, bounded by the cores not already running kernel workers in
+	// this process and by 8, so circuits below 4k gates — and runs that
+	// start while other runs occupy every core — use the sequential kernel.
+	// An engine with a fire hook installed always runs sequentially under
+	// 0. 1 forces the sequential kernel; values are clamped to
 	// [1, MaxPartitions].
 	Partitions int
 	// Ctx, when non-nil, cancels runs: Engine.Run and RunBatch abort at
